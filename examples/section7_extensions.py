@@ -4,10 +4,10 @@
 Two of the "other optimizations enabled by DBI" as working subsystems:
 
 1. **Self-balancing DRAM-cache dispatch** [49] — clean reads balance across
-   the die-stacked cache and off-chip memory; the DBI is the cheap oracle
-   for "could this be dirty?". We contrast a write-heavy phase (everything
-   pinned to the DRAM cache) against a read-mostly phase (a third of the
-   traffic offloaded).
+   a timed die-stacked cache level and off-chip memory on their read-queue
+   depths; the level's DBI is the cheap oracle for "could this be dirty?".
+   We contrast a write-heavy phase (most reads pinned to the DRAM cache)
+   against a read-mostly phase (about half the reads offloaded).
 2. **Coherent bulk DMA** — one ranged DBI query per DRAM row replaces
    per-block tag lookups when a device reads a large buffer.
 
@@ -15,39 +15,52 @@ Run:  python examples/section7_extensions.py
 """
 
 from fractions import Fraction
+from functools import partial
 
 from repro.core.config import DbiConfig
 from repro.core.dbi import DirtyBlockIndex
+from repro.dram.config import DramConfig
+from repro.dram.controller import MemoryController
+from repro.dram.request import MemoryRequest
+from repro.dramcache import DramCacheConfig, DramCacheLevel
 from repro.extensions.bulk_dma import BulkDmaEngine
-from repro.extensions.dram_cache import DramCacheDispatcher, DramCacheModel
+from repro.extensions.dram_cache import DramCacheDispatcher
+from repro.utils.events import EventQueue
 from repro.utils.rng import DeterministicRng
 
 
 def dram_cache_study() -> None:
     print("1. Self-balancing DRAM-cache dispatch")
     print("-" * 38)
+    footprint = 4096
     for phase, write_prob in (("write-heavy", 0.6), ("read-mostly", 0.05)):
         rng = DeterministicRng(11)
-        dbi = DirtyBlockIndex(
-            DbiConfig(cache_blocks=65536, alpha=Fraction(1, 4), granularity=64,
-                      associativity=16)
+        queue = EventQueue()
+        level = DramCacheLevel(
+            queue,
+            DramCacheConfig(num_blocks=8192, dbi_granularity=64),
+            MemoryController(queue, DramConfig()),
+            rng=DeterministicRng(11),
         )
-        cache = DramCacheModel(dbi=dbi, capacity_blocks=16384)
-        dispatcher = DramCacheDispatcher(cache, queue_penalty_threshold=1)
-        footprint = 8192
-        in_flight = []
-        for _ in range(20000):
-            addr = rng.randint(0, footprint - 1)
-            if rng.chance(write_prob):
-                cache.write(addr)
-            else:
-                in_flight.append(dispatcher.dispatch_read(addr))
-                # Requests drain in bursts of 8, so queue imbalance is
-                # visible to the balancer (as in a real controller).
-                if len(in_flight) >= 8:
-                    for decision in in_flight:
-                        dispatcher.complete(decision)
-                    in_flight.clear()
+        dispatcher = DramCacheDispatcher(level, queue_penalty_threshold=1)
+        # Warm the whole footprint into the DRAM cache.
+        for addr in range(footprint):
+            level.enqueue_read(MemoryRequest(block_addr=addr, is_write=False))
+        queue.run()
+        # One request every 4 cycles: faster than the stacked bus alone
+        # serves them, so the balancer has queue imbalance to act on.
+        start = queue.now
+        for i in range(20000):
+            request = MemoryRequest(
+                block_addr=rng.randint(0, footprint - 1),
+                is_write=rng.chance(write_prob),
+            )
+            target = (
+                level.enqueue_write if request.is_write
+                else dispatcher.dispatch_read
+            )
+            queue.schedule(start + 4 * i, partial(target, request))
+        queue.run()
         flat = dispatcher.stats.as_dict()
         print(f"  {phase:12s}: {flat['dispatch.reads']:>6.0f} reads, "
               f"{flat.get('dispatch.forced_to_cache', 0):>6.0f} forced dirty, "

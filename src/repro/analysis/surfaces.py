@@ -26,7 +26,7 @@ import json
 import os
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.experiments import ExperimentResult
+from repro.analysis.experiments import FIG6_PANELS, ExperimentResult
 from repro.analysis.scaling import SCALES
 from repro.checkpoint.sampled import MetricEstimate, _estimate
 from repro.sim.metrics import geometric_mean, weighted_speedup
@@ -37,17 +37,6 @@ from repro.utils.atomic import atomic_write_json, atomic_write_text
 SURFACES_DIRNAME = "surfaces"
 #: Machine-readable form of every surface, one JSON document.
 SURFACES_JSON = "surfaces.json"
-
-#: Figure 6 panels: surface id -> (title, metric extractor).
-FIG6_PANELS = (
-    ("fig6a", "Instructions per cycle", lambda r: r.ipc[0]),
-    ("fig6b", "Write row hit rate", lambda r: r.write_row_hit_rate),
-    ("fig6c", "LLC tag lookups per kilo-instruction",
-     lambda r: r.tag_lookups_pki),
-    ("fig6d", "Memory writes per kilo-instruction",
-     lambda r: r.memory_wpki),
-    ("fig6e", "Read row hit rate", lambda r: r.read_row_hit_rate),
-)
 
 #: Mechanisms the paper plots in Figure 8 (intersected with the campaign's).
 FIG8_PREFERRED = ("dawb", "dbi+awb+clb")

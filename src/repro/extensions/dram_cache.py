@@ -12,21 +12,20 @@ dirty-page cache. The paper observes a DBI provides both functions
 directly: it is the authority on dirtiness, and its LRW stack *is* a
 recency-ordered list of written regions.
 
-This module models that system functionally: a DRAM cache with per-queue
-load tracking, a DBI shared with it, and a dispatcher that balances clean
-reads across the two memories.
+The dispatcher sits in front of a timed
+:class:`~repro.dramcache.level.DramCacheLevel`: the level's dirty backend
+answers "could this be dirty?", and the read queues its two controllers
+already keep are the load signal.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Optional
 
-from repro.core.dbi import DirtyBlockIndex
+from repro.dram.request import MemoryRequest
+from repro.dramcache.level import DramCacheLevel
 from repro.utils.stats import StatGroup
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import check_non_negative
 
 
 class DispatchDecision(enum.Enum):
@@ -36,142 +35,46 @@ class DispatchDecision(enum.Enum):
     OFF_CHIP = "off_chip"
 
 
-@dataclass
-class DramCacheModel:
-    """A minimal die-stacked DRAM cache: presence set + dirty via DBI.
-
-    The data path is abstracted to queue-occupancy counters; what matters
-    for the dispatch study is *where* requests go, not their cycle timing.
-
-    Replacement and dirty semantics deliberately mirror the *timed* level
-    (:class:`repro.dramcache.level.DramCacheLevel` with its ``dbi``
-    backend): LRU eviction with promotion on every touch, the DBI as the
-    sole dirtiness authority, and aggressive writeback — evicting one dirty
-    block drains every other dirty block of its region. The one documented
-    divergence is associativity: the presence set is fully associative,
-    so the model agrees exactly with a timed level configured with a
-    single set (see ``tests/dramcache/test_dispatch_agreement.py``).
-    """
-
-    dbi: DirtyBlockIndex
-    capacity_blocks: int = 1 << 16
-
-    def __post_init__(self) -> None:
-        check_positive("capacity_blocks", self.capacity_blocks)
-        # addr -> None, in recency order: front is LRU, back is MRU.
-        self._present: "OrderedDict[int, None]" = OrderedDict()
-        self.stats = StatGroup("dram_cache")
-
-    def contains(self, block_addr: int) -> bool:
-        return block_addr in self._present
-
-    def touch(self, block_addr: int) -> None:
-        """Promote a present block to MRU (a read hit in the data array)."""
-        if block_addr in self._present:
-            self._present.move_to_end(block_addr)
-
-    def install(self, block_addr: int, dirty: bool = False) -> Optional[int]:
-        """Install a block; returns an evicted block address if one fell out.
-
-        Matches the timed level's install order: the victim is resolved
-        *before* the new block is marked dirty, so a DBI-entry displacement
-        triggered by the marking never sees the half-installed block.
-        """
-        if block_addr in self._present:
-            self._present.move_to_end(block_addr)
-            if dirty:
-                self._mark_dirty(block_addr)
-            return None
-        victim = None
-        if len(self._present) >= self.capacity_blocks:
-            victim = next(iter(self._present))  # least recently used
-            del self._present[victim]
-            self._evict(victim)
-        self._present[block_addr] = None
-        if dirty:
-            self._mark_dirty(block_addr)
-        return victim
-
-    def write(self, block_addr: int) -> None:
-        """A store to the DRAM cache: allocate + mark dirty."""
-        self.install(block_addr, dirty=True)
-        self.stats.counter("writes").increment()
-
-    def _mark_dirty(self, block_addr: int) -> None:
-        eviction = self.dbi.mark_dirty(block_addr)
-        if eviction is None:
-            return
-        # Displaced DBI entry: its blocks become clean (written downstream).
-        self.stats.counter("dbi_forced_writebacks").increment(
-            len(eviction.dirty_blocks)
-        )
-
-    def _evict(self, victim: int) -> None:
-        """Aggressive writeback on dirty eviction, like the timed level."""
-        if not self.dbi.is_dirty(victim):
-            return
-        self.dbi.mark_clean(victim)
-        self.stats.counter("dirty_evictions").increment()
-        for addr in self.dbi.dirty_blocks_in_region(victim):
-            # Region-mates stay present but are cleaned alongside the
-            # victim — their data leaves in the same off-chip row batch.
-            self.dbi.mark_clean(addr)
-            self.stats.counter("awb_drains").increment()
-
-
 class DramCacheDispatcher:
-    """Route reads between the DRAM cache and off-chip memory.
+    """Route reads between a DRAM-cache level and off-chip memory.
 
     The decision rule of [49], with the DBI replacing its dedicated
     structures:
 
-    1. If the block *might be dirty* in the DRAM cache (DBI bit set), the
-       read **must** go to the DRAM cache.
-    2. Otherwise the data is identical in both memories (clean or absent
-       with clean fill path), so send it to the shorter queue.
+    1. If the block *might be dirty* in the DRAM cache, the read **must**
+       go to the DRAM cache.
+    2. Otherwise the data is identical in both memories (clean or absent),
+       so the read goes off-chip once the stacked read queue is deeper than
+       the off-chip one by more than ``queue_penalty_threshold``.
     """
 
     def __init__(
         self,
-        cache: DramCacheModel,
+        level: DramCacheLevel,
         queue_penalty_threshold: int = 4,
     ) -> None:
         check_non_negative("queue_penalty_threshold", queue_penalty_threshold)
-        self.cache = cache
+        self.level = level
         self.threshold = queue_penalty_threshold
-        self.cache_queue = 0
-        self.off_chip_queue = 0
         self.stats = StatGroup("dispatch")
 
-    def dispatch_read(self, block_addr: int) -> DispatchDecision:
-        """Decide where one read goes and account queue occupancy."""
+    def dispatch_read(self, request: MemoryRequest) -> DispatchDecision:
+        """Enqueue one read into the memory chosen for it; return the choice."""
+        level = self.level
         self.stats.counter("reads").increment()
-        if self.cache.dbi.is_dirty(block_addr):
+        if level.is_dirty(request.block_addr):
             # Only the DRAM cache has the current data.
             self.stats.counter("forced_to_cache").increment()
-            self.cache.touch(block_addr)
-            self.cache_queue += 1
+            level.enqueue_read(request)
             return DispatchDecision.DRAM_CACHE
-
         # Clean everywhere: balance load.
-        if self.cache_queue - self.off_chip_queue >= self.threshold:
+        imbalance = level.stacked.pending_reads - level.offchip.pending_reads
+        if imbalance > self.threshold:
             self.stats.counter("balanced_to_off_chip").increment()
-            self.off_chip_queue += 1
+            level.offchip.enqueue_read(request)
             return DispatchDecision.OFF_CHIP
-        self.cache.touch(block_addr)
-        self.cache_queue += 1
+        level.enqueue_read(request)
         return DispatchDecision.DRAM_CACHE
-
-    def complete(self, decision: DispatchDecision) -> None:
-        """Retire one request from the chosen queue."""
-        if decision is DispatchDecision.DRAM_CACHE:
-            if self.cache_queue <= 0:
-                raise ValueError("DRAM cache queue underflow")
-            self.cache_queue -= 1
-        else:
-            if self.off_chip_queue <= 0:
-                raise ValueError("off-chip queue underflow")
-            self.off_chip_queue -= 1
 
     @property
     def off_chip_share(self) -> float:

@@ -2,7 +2,14 @@
 
 import dataclasses
 
-from repro.analysis.experiments import run_multicore_suite
+import pytest
+
+from repro.analysis.experiments import (
+    run_figure7,
+    run_multicore_suite,
+    run_table3,
+)
+from repro.analysis.runner import SweepRunner
 from repro.analysis.scaling import QUICK_SCALE
 
 TINY = dataclasses.replace(
@@ -53,3 +60,29 @@ class TestSuiteStructure:
                     "weighted_speedup", "instruction_throughput",
                     "harmonic_speedup", "maximum_slowdown",
                 }
+
+
+@pytest.mark.parametrize(
+    "exp_id, standalone",
+    [
+        ("fig7", lambda runner: run_figure7(
+            TINY, core_counts=(2,), mechanisms=("baseline", "dbi"),
+            mixes_per_system=2, runner=runner,
+        )),
+        ("table3", lambda runner: run_table3(
+            TINY, core_counts=(2,), mechanism="dbi", mixes_per_system=2,
+            runner=runner,
+        )),
+    ],
+)
+def test_standalone_runner_matches_suite(exp_id, standalone):
+    runner = SweepRunner(workers=0, cache_dir=None)
+    suite = run_multicore_suite(
+        TINY,
+        core_counts=(2,),
+        mechanisms=("baseline", "dbi"),
+        mixes_per_system=2,
+        figure8_mechanisms=("dbi",),
+        runner=runner,
+    )
+    assert standalone(runner).to_text() == suite[exp_id].to_text()

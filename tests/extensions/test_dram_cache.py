@@ -1,134 +1,139 @@
 """Tests for the DBI-based DRAM-cache dispatcher (paper Section 7)."""
 
-from fractions import Fraction
+from collections import Counter
+from functools import partial
 
-import pytest
+from repro.dram.request import MemoryRequest
+from repro.extensions.dram_cache import DispatchDecision, DramCacheDispatcher
+from repro.utils.rng import DeterministicRng
 
-from repro.core.config import DbiConfig
-from repro.core.dbi import DirtyBlockIndex
-from repro.extensions.dram_cache import (
-    DispatchDecision,
-    DramCacheDispatcher,
-    DramCacheModel,
-)
+from tests.dramcache.conftest import make_level, read, write
 
 
 def make_rig(threshold=2):
-    dbi = DirtyBlockIndex(
-        DbiConfig(cache_blocks=4096, alpha=Fraction(1, 4), granularity=16,
-                  associativity=8)
+    queue, level, _offchip = make_level("dbi")
+    return queue, level, DramCacheDispatcher(
+        level, queue_penalty_threshold=threshold
     )
-    cache = DramCacheModel(dbi=dbi, capacity_blocks=256)
-    return cache, DramCacheDispatcher(cache, queue_penalty_threshold=threshold)
+
+
+def load_stacked(level, depth):
+    """Park ``depth`` reads in the stacked read queue (the queue is not run)."""
+    for i in range(depth):
+        level.stacked.enqueue_read(
+            MemoryRequest(block_addr=1000 + i, is_write=False)
+        )
+
+
+def dispatch(dispatcher, addr):
+    return dispatcher.dispatch_read(
+        MemoryRequest(block_addr=addr, is_write=False)
+    )
 
 
 class TestDirtyRouting:
     def test_dirty_block_forced_to_cache(self):
-        cache, dispatcher = make_rig()
-        cache.write(100)
-        # Load the cache queue so balancing would otherwise offload.
-        for _ in range(10):
-            dispatcher.cache_queue += 1
-        assert dispatcher.dispatch_read(100) is DispatchDecision.DRAM_CACHE
+        queue, level, dispatcher = make_rig(threshold=2)
+        write(queue, level, 5)
+        queue.run()
+        # A stacked queue deeper than the threshold would offload a clean read.
+        load_stacked(level, 10)
+        assert dispatch(dispatcher, 5) is DispatchDecision.DRAM_CACHE
         assert dispatcher.stats.as_dict()["dispatch.forced_to_cache"] == 1
 
     def test_clean_block_can_offload(self):
-        cache, dispatcher = make_rig(threshold=2)
-        cache.install(100)  # present but clean
-        dispatcher.cache_queue = 5
-        dispatcher.off_chip_queue = 0
-        assert dispatcher.dispatch_read(100) is DispatchDecision.OFF_CHIP
+        queue, level, dispatcher = make_rig(threshold=2)
+        read(queue, level, 5)  # present but clean
+        queue.run()
+        assert level.tags.contains(5) and not level.is_dirty(5)
+        load_stacked(level, 3)
+        assert dispatch(dispatcher, 5) is DispatchDecision.OFF_CHIP
+        assert level.offchip.pending_reads == 1
 
     def test_absent_block_can_offload(self):
-        _cache, dispatcher = make_rig(threshold=0)
-        assert dispatcher.dispatch_read(999) is DispatchDecision.OFF_CHIP
+        _queue, level, dispatcher = make_rig(threshold=0)
+        load_stacked(level, 1)
+        assert dispatch(dispatcher, 999) is DispatchDecision.OFF_CHIP
 
 
 class TestLoadBalancing:
     def test_balanced_queues_prefer_cache(self):
-        _cache, dispatcher = make_rig(threshold=2)
-        assert dispatcher.dispatch_read(1) is DispatchDecision.DRAM_CACHE
+        _queue, _level, dispatcher = make_rig(threshold=2)
+        assert dispatch(dispatcher, 1) is DispatchDecision.DRAM_CACHE
 
     def test_offload_engages_past_threshold(self):
-        _cache, dispatcher = make_rig(threshold=3)
-        decisions = [dispatcher.dispatch_read(i) for i in range(10)]
-        assert DispatchDecision.OFF_CHIP in decisions
-        # Queues stay within the threshold band.
-        assert dispatcher.cache_queue - dispatcher.off_chip_queue <= 3
+        _queue, level, dispatcher = make_rig(threshold=3)
+        load_stacked(level, 3)
+        # Deeper by exactly the threshold: still the cache.
+        assert dispatch(dispatcher, 1) is DispatchDecision.DRAM_CACHE
+        load_stacked(level, 1)
+        assert dispatch(dispatcher, 2) is DispatchDecision.OFF_CHIP
+        # The offloaded read deepened the off-chip queue: back in the band.
+        assert dispatch(dispatcher, 3) is DispatchDecision.DRAM_CACHE
 
     def test_off_chip_share_under_write_heavy_traffic(self):
-        cache, dispatcher = make_rig(threshold=1)
-        for addr in range(64):
-            cache.write(addr)
-        for addr in range(64):
-            dispatcher.dispatch_read(addr)
+        queue, level, dispatcher = make_rig(threshold=1)
+        for addr in range(16):
+            write(queue, level, addr)
+        queue.run()
+        assert all(level.is_dirty(addr) for addr in range(16))
+        load_stacked(level, 10)
+        for addr in range(16):
+            dispatch(dispatcher, addr)
         # Every read was dirty: nothing could be offloaded.
         assert dispatcher.off_chip_share == 0.0
 
     def test_off_chip_share_under_clean_traffic(self):
-        _cache, dispatcher = make_rig(threshold=1)
+        queue, level, dispatcher = make_rig(threshold=1)
         for addr in range(64):
-            dispatcher.dispatch_read(addr)
+            read(queue, level, addr)
+        queue.run()
+        # Back-to-back hits outrun the stacked bus; the excess goes off-chip.
+        for addr in range(64):
+            queue.schedule(queue.now + addr, partial(dispatch, dispatcher, addr))
+        queue.run()
         assert dispatcher.off_chip_share > 0.3
 
 
-class TestQueueAccounting:
-    def test_complete_decrements(self):
-        _cache, dispatcher = make_rig()
-        decision = dispatcher.dispatch_read(5)
-        assert dispatcher.cache_queue == 1
-        dispatcher.complete(decision)
-        assert dispatcher.cache_queue == 0
+def random_stream(seed, count=400, footprint=80):
+    """A warmed level, then one read or write per cycle, some of them misses."""
+    queue, level, dispatcher = make_rig(threshold=1)
+    for addr in range(64):
+        read(queue, level, addr)
+    queue.run()
+    start = queue.now
+    rng = DeterministicRng(seed)
+    completions = Counter()
+    reads = []
+    for i in range(count):
+        addr = rng.randint(0, footprint - 1)
+        if rng.chance(0.4):
+            request = MemoryRequest(block_addr=addr, is_write=True)
+            queue.schedule(start + i, partial(level.enqueue_write, request))
+        else:
+            request = MemoryRequest(
+                block_addr=addr,
+                is_write=False,
+                on_complete=lambda r: completions.update([id(r)]),
+            )
+            reads.append(request)
+            queue.schedule(start + i, partial(dispatcher.dispatch_read, request))
+    queue.run()
+    return level, dispatcher, reads, completions
 
-    def test_underflow_rejected(self):
-        _cache, dispatcher = make_rig()
-        with pytest.raises(ValueError):
-            dispatcher.complete(DispatchDecision.OFF_CHIP)
 
+class TestMixedStream:
+    def test_every_dispatched_read_completes_once(self):
+        _level, dispatcher, reads, completions = random_stream(0xD15)
+        assert completions == Counter(id(r) for r in reads)
+        flat = dispatcher.stats.as_dict()
+        assert flat["dispatch.reads"] == len(reads)
+        # The stream exercised both routing rules.
+        assert flat["dispatch.forced_to_cache"] > 0
+        assert flat["dispatch.balanced_to_off_chip"] > 0
 
-class TestDramCacheModel:
-    def test_install_and_presence(self):
-        cache, _dispatcher = make_rig()
-        cache.install(7)
-        assert cache.contains(7)
-        assert not cache.contains(8)
-
-    def test_capacity_eviction(self):
-        dbi = DirtyBlockIndex(
-            DbiConfig(cache_blocks=4096, alpha=Fraction(1, 4), granularity=16,
-                      associativity=8)
-        )
-        cache = DramCacheModel(dbi=dbi, capacity_blocks=4)
-        for addr in range(5):
-            cache.install(addr)
-        assert len(cache._present) == 4
-
-    def test_evicted_dirty_block_cleared_in_dbi(self):
-        dbi = DirtyBlockIndex(
-            DbiConfig(cache_blocks=4096, alpha=Fraction(1, 4), granularity=16,
-                      associativity=8)
-        )
-        cache = DramCacheModel(dbi=dbi, capacity_blocks=2)
-        cache.write(0)
-        cache.install(1)
-        cache.install(2)  # evicts 0 (LRU)
-        assert not dbi.is_dirty(0)
-        assert cache.stats.as_dict()["dram_cache.dirty_evictions"] == 1
-
-    def test_lru_touch_protects_a_block(self):
-        dbi = DirtyBlockIndex(
-            DbiConfig(cache_blocks=4096, alpha=Fraction(1, 4), granularity=16,
-                      associativity=8)
-        )
-        cache = DramCacheModel(dbi=dbi, capacity_blocks=2)
-        cache.install(0)
-        cache.install(1)
-        cache.touch(0)  # 1 becomes LRU
-        assert cache.install(2) == 1
-        assert cache.contains(0)
-
-    def test_write_to_present_block_dirties(self):
-        cache, _dispatcher = make_rig()
-        cache.install(9)
-        cache.write(9)
-        assert cache.dbi.is_dirty(9)
+    def test_level_invariants_hold(self):
+        for seed in (1, 2, 3):
+            level, _dispatcher, _reads, _completions = random_stream(seed)
+            assert level.is_idle()
+            level.check_invariants()

@@ -36,7 +36,7 @@ import os
 import signal
 import time
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Dict, Optional, Sequence
 
 #: Environment variable holding a chaos spec (empty/"off"/"0" disables).
 CHAOS_ENV = "REPRO_CHAOS"
@@ -85,6 +85,35 @@ class ChaosConfig:
         return self.crash > 0 or self.hang > 0 or self.corrupt > 0
 
 
+def _parse_spec_items(
+    spec: Optional[str], known: Sequence[str], label: str
+) -> Optional[Dict[str, str]]:
+    """Split ``key=value,key=value`` into raw strings keyed by name.
+
+    Returns None for empty/disabled specs (``""``, ``"off"``, ``"none"``,
+    ``"0"``, ``"false"``); raises ValueError naming ``label`` on an item
+    without ``=`` or with a key outside ``known``.
+    """
+    if spec is None:
+        return None
+    spec = spec.strip()
+    if not spec or spec.lower() in ("off", "none", "0", "false"):
+        return None
+    items = {}
+    for item in spec.split(","):
+        item = item.strip()
+        if not item:
+            continue
+        name, sep, value = item.partition("=")
+        name = name.strip()
+        if not sep or name not in known:
+            raise ValueError(
+                f"bad {label} item {item!r}; known keys: {', '.join(known)}"
+            )
+        items[name] = value
+    return items
+
+
 def parse_chaos_spec(spec: Optional[str]) -> Optional[ChaosConfig]:
     """Parse ``key=value,key=value`` into a :class:`ChaosConfig`.
 
@@ -94,23 +123,13 @@ def parse_chaos_spec(spec: Optional[str]) -> Optional[ChaosConfig]:
         >>> parse_chaos_spec("crash=0.5,seed=7").crash
         0.5
     """
-    if spec is None:
+    items = _parse_spec_items(
+        spec, sorted(f.name for f in fields(ChaosConfig)), "chaos spec"
+    )
+    if items is None:
         return None
-    spec = spec.strip()
-    if not spec or spec.lower() in ("off", "none", "0", "false"):
-        return None
-    known = {f.name: f for f in fields(ChaosConfig)}
     kwargs = {}
-    for item in spec.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        name, sep, value = item.partition("=")
-        name = name.strip()
-        if not sep or name not in known:
-            raise ValueError(
-                f"bad chaos spec item {item!r}; known keys: {sorted(known)}"
-            )
+    for name, value in items.items():
         if name in ("seed", "crash_attempts", "hang_attempts"):
             kwargs[name] = int(value, 0)
         else:
@@ -247,23 +266,13 @@ def parse_campaign_chaos_spec(
         >>> parse_campaign_chaos_spec("kill=7,mode=torn").mode
         'torn'
     """
-    if spec is None:
-        return None
-    spec = spec.strip()
-    if not spec or spec.lower() in ("off", "none", "0", "false"):
+    items = _parse_spec_items(
+        spec, ("kill", "mode", "warm_kill"), "campaign chaos"
+    )
+    if items is None:
         return None
     kwargs = {}
-    for item in spec.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        name, sep, value = item.partition("=")
-        name = name.strip()
-        if not sep or name not in ("kill", "mode", "warm_kill"):
-            raise ValueError(
-                f"bad campaign chaos item {item!r}; known keys: "
-                "kill, mode, warm_kill"
-            )
+    for name, value in items.items():
         if name == "kill":
             kwargs["kill_seq"] = int(value, 0)
         elif name == "warm_kill":

@@ -171,9 +171,13 @@ class AloneIpcCache:
 
     Weighted speedup normalizes shared-mode IPCs against alone-mode IPCs on
     the same machine (full LLC to itself); the alone runs use the Baseline
-    mechanism so the normalization is identical across mechanisms. Each
-    distinct (trace, shape) is submitted to the sweep runner once; repeated
-    requests share the future.
+    mechanism so the normalization is identical across mechanisms. A mix
+    trace is identified by its benchmark name and length only: the alone
+    run replays :meth:`ScaleProfile.alone_trace`, the same trace the
+    campaign's alone cells use, so every copy of a benchmark shares one
+    normalizer whatever its position in the mix. Each distinct
+    (benchmark, length, shape) is submitted to the sweep runner once;
+    repeated requests share the future.
     """
 
     def __init__(self, scale: ScaleProfile,
@@ -192,7 +196,9 @@ class AloneIpcCache:
                 mb_per_core=mb_per_core * num_cores,  # the whole shared LLC
                 llc_replacement=llc_replacement,
             )
-            self._cache[key] = self.runner.submit(config, [trace])
+            self._cache[key] = self.runner.submit(
+                config, [self.scale.alone_trace(trace.name, refs=len(trace))]
+            )
         return self._cache[key]
 
     def ipc(self, trace: Trace, num_cores: int, mb_per_core: int = 2,

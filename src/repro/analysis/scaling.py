@@ -142,6 +142,17 @@ class ScaleProfile:
             footprint_divisor=self.divisor,
         )
 
+    def alone_trace(self, name: str, refs: Optional[int] = None) -> Trace:
+        """The trace a benchmark runs alone on to normalize weighted speedup.
+
+        One canonical trace per (benchmark, length): every copy of the
+        benchmark in every mix divides by the same alone run, whatever seed
+        and base address its mix gave it.
+        """
+        return self.benchmark_trace(
+            name, refs=refs or self.refs_per_core_multi
+        )
+
     def mixes(self, num_cores: int, count: Optional[int] = None,
               seed: int = 0xDB1,
               refs_per_core: Optional[int] = None) -> List[WorkloadMix]:

@@ -275,11 +275,7 @@ def cell_traces(
     if category == "alone":
         if cell.benchmark is None:
             raise ValueError(f"cell {cell.cell_id!r} has no benchmark")
-        return [
-            scale.benchmark_trace(
-                cell.benchmark, refs=refs or scale.refs_per_core_multi
-            )
-        ]
+        return [scale.alone_trace(cell.benchmark, refs=refs)]
     if cell.mix_index is None:
         raise ValueError(f"cell {cell.cell_id!r} has no mix index")
     count = paper_mix_count(cell.num_cores) if full_width else None

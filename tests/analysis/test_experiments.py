@@ -13,7 +13,9 @@ from repro.analysis.experiments import (
     run_figure7,
     run_table6,
 )
+from repro.analysis.runner import SweepRunner
 from repro.analysis.scaling import QUICK_SCALE
+from repro.campaign.plan import CampaignCell, cell_config, cell_traces
 
 #: An even-smaller profile so these tests stay fast.
 TINY = dataclasses.replace(
@@ -67,6 +69,24 @@ class TestAloneCache:
         assert len(alone._cache) == 1
         alone.ipc(trace, num_cores=4)
         assert len(alone._cache) == 2
+
+    def test_later_copies_use_the_campaign_alone_cell(self):
+        mix = TINY.mixes(2, count=1)[0]
+        cell = CampaignCell(
+            cell_id=f"alone/2c/{mix.benchmark_names[1]}",
+            mechanism="baseline",
+            num_cores=2,
+            benchmark=mix.benchmark_names[1],
+            kind="alone",
+        )
+        campaign = SweepRunner(workers=0, cache_dir=None).run(
+            cell_config(TINY, cell), cell_traces(TINY, cell)
+        )
+        # Core 1's trace has its own seed and base address; its normalizer
+        # must still be the benchmark's canonical alone run.
+        assert AloneIpcCache(TINY).ipc(mix.traces[1], num_cores=2) == (
+            campaign.ipc[0]
+        )
 
 
 class TestFigure7:

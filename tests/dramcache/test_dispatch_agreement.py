@@ -1,65 +1,19 @@
-"""Regression: the Section-7 dispatch model vs the timed level's authority.
+"""Regression: the Section-7 dispatch rule vs the timed level's authority.
 
-``repro.extensions.dram_cache`` models a die-stacked DRAM cache
-functionally (presence + DBI, no cycle timing) to study self-balancing
-dispatch. Since the timed level landed, the model's replacement and
-dirty-writeback semantics are defined to *mirror* it — LRU with promotion
-on touch, DBI as sole dirtiness authority, whole-row drains on dirty
-eviction. This suite drives identical serialized streams through both and
-checks they agree block for block, so the dispatcher's "must this read go
-to the cache?" answer is exactly the timed level's.
-
-The one documented divergence is associativity (the model is fully
-associative), so the timed side here runs with a single tag set.
+:class:`~repro.extensions.dram_cache.DramCacheDispatcher` sends a read to
+the DRAM cache whenever the cache may hold the only current copy, and may
+offload it otherwise. That "must this read go to the cache?" answer has to
+be exactly the timed level's dirtiness, block for block, after any mix of
+reads, writes, evictions and DBI displacements.
 """
 
-from fractions import Fraction
-
-from repro.core.dbi import DirtyBlockIndex
-from repro.extensions.dram_cache import (
-    DispatchDecision,
-    DramCacheDispatcher,
-    DramCacheModel,
-)
+from repro.dram.request import MemoryRequest
+from repro.extensions.dram_cache import DispatchDecision, DramCacheDispatcher
 from repro.utils.rng import DeterministicRng
 
 from tests.dramcache.conftest import make_level, read, write
 
 FOOTPRINT = 64
-
-
-def make_pair(num_blocks=16, granularity=4, dbi_associativity=2):
-    """A fully-associative timed level and a model with the same geometry."""
-    queue, level, _ = make_level(
-        "dbi",
-        num_blocks=num_blocks,
-        associativity=num_blocks,  # one set: matches the model
-        dbi_granularity=granularity,
-        dbi_alpha=Fraction(1, 2),
-        dbi_associativity=dbi_associativity,
-    )
-    model = DramCacheModel(
-        dbi=DirtyBlockIndex(level.config.dbi_config()),
-        capacity_blocks=level.config.num_blocks,
-    )
-    return queue, level, model
-
-
-def drive_both(queue, level, model, ops):
-    """One op stream through both sides; serialized so timing cannot skew."""
-    for is_write, addr in ops:
-        if is_write:
-            write(queue, level, addr)
-            model.write(addr)
-        else:
-            read(queue, level, addr)
-            # The model has no read datapath: a hit promotes, a miss fills.
-            if model.contains(addr):
-                model.touch(addr)
-            else:
-                model.install(addr)
-        queue.run()
-    assert level.is_idle()
 
 
 def random_ops(count=400, write_fraction=0.5, seed=0x5D1):
@@ -71,63 +25,40 @@ def random_ops(count=400, write_fraction=0.5, seed=0x5D1):
 
 
 class TestModelAgreesWithTimedLevel:
-    def test_contents_and_dirty_sets_agree(self):
-        queue, level, model = make_pair()
-        drive_both(queue, level, model, random_ops())
-        level_contents = {b.addr for b in level.tags.iter_valid_blocks()}
-        assert set(model._present) == level_contents
-        assert set(model.dbi.all_dirty_blocks()) == level.dirty_blocks()
-        level.check_invariants()
-
-    def test_writeback_counters_agree(self):
-        queue, level, model = make_pair()
-        # Writes confined to two DBI regions (so dirty blocks survive to
-        # eviction instead of all being displaced), reads thrash the tags.
-        rng = DeterministicRng(0x5D2)
-        ops = [
-            (True, rng.randint(0, 7))
-            if rng.chance(0.5)
-            else (False, rng.randint(0, FOOTPRINT - 1))
-            for _ in range(400)
-        ]
-        drive_both(queue, level, model, ops)
-        level_stats = level.stats.as_dict()
-        model_stats = model.stats.as_dict()
-        for name in ("dirty_evictions", "awb_drains", "dbi_forced_writebacks"):
-            assert model_stats.get(f"dram_cache.{name}", 0) == (
-                level_stats.get(f"dramcache.{name}", 0)
-            ), name
-        # Something must actually have happened for this to mean anything.
-        assert model_stats.get("dram_cache.dirty_evictions", 0) > 0
-
-    def test_lru_victims_agree(self):
-        queue, level, model = make_pair(
-            num_blocks=8, granularity=4, dbi_associativity=1
-        )
-        # Fill both, protect block 0 with a touch, then overflow: the
-        # untouched LRU block must fall out of both sides.
-        for addr in range(8):
-            drive_both(queue, level, model, [(False, addr)])
-        drive_both(queue, level, model, [(False, 0)])
-        victim = model.install(100)
-        read(queue, level, 100)
-        queue.run()
-        assert victim == 1
-        assert not level.tags.contains(1)
-        assert level.tags.contains(0)
-
     def test_dispatcher_routing_matches_level_dirtiness(self):
-        queue, level, model = make_pair()
-        drive_both(queue, level, model, random_ops(write_fraction=0.6))
-        # Block-for-block, the dispatcher's authority is the level's.
-        for addr in range(FOOTPRINT):
-            assert model.dbi.peek_dirty(addr) == level.peek_dirty(addr), addr
-        dirty = sorted(level.dirty_blocks())
-        clean = sorted(set(range(FOOTPRINT)) - set(dirty))
-        assert dirty, "stream should leave some blocks dirty"
-        dispatcher = DramCacheDispatcher(model, queue_penalty_threshold=0)
-        dispatcher.cache_queue = 10  # loaded: every clean read offloads
-        assert (
-            dispatcher.dispatch_read(dirty[0]) is DispatchDecision.DRAM_CACHE
+        queue, level, _ = make_level(
+            "dbi", num_blocks=16, associativity=16, dbi_granularity=4
         )
-        assert dispatcher.dispatch_read(clean[0]) is DispatchDecision.OFF_CHIP
+        # Serialized so timing cannot skew which blocks end up dirty.
+        for is_write, addr in random_ops(write_fraction=0.6):
+            if is_write:
+                write(queue, level, addr)
+            else:
+                read(queue, level, addr)
+            queue.run()
+        assert level.is_idle()
+        dirty = {addr for addr in range(FOOTPRINT) if level.peek_dirty(addr)}
+        assert dirty == level.dirty_blocks()
+        assert dirty, "stream should leave some blocks dirty"
+        assert len(dirty) < FOOTPRINT, "stream should leave some blocks clean"
+
+        dispatcher = DramCacheDispatcher(level, queue_penalty_threshold=0)
+        # A stacked queue deeper than every read below: each clean read
+        # offloads, so the decision exposes the dirtiness it was based on.
+        for i in range(2 * FOOTPRINT):
+            level.stacked.enqueue_read(
+                MemoryRequest(block_addr=1000 + i, is_write=False)
+            )
+        for addr in range(FOOTPRINT):
+            decision = dispatcher.dispatch_read(
+                MemoryRequest(block_addr=addr, is_write=False)
+            )
+            expected = (
+                DispatchDecision.DRAM_CACHE
+                if addr in dirty
+                else DispatchDecision.OFF_CHIP
+            )
+            assert decision is expected, addr
+        flat = dispatcher.stats.as_dict()
+        assert flat["dispatch.forced_to_cache"] == len(dirty)
+        assert flat["dispatch.balanced_to_off_chip"] == FOOTPRINT - len(dirty)

@@ -95,6 +95,38 @@ class TestLoadBalancing:
         assert dispatcher.off_chip_share > 0.3
 
 
+class TestDramCacheModel:
+    """The dirtiness the dispatcher reads, as the level keeps it."""
+
+    def test_write_to_present_block_dirties(self):
+        queue, level, dispatcher = make_rig(threshold=0)
+        read(queue, level, 9)  # present but clean
+        queue.run()
+        assert level.tags.contains(9) and not level.is_dirty(9)
+        write(queue, level, 9)
+        queue.run()
+        assert level.tags.contains(9) and level.is_dirty(9)
+        load_stacked(level, 1)
+        assert dispatch(dispatcher, 9) is DispatchDecision.DRAM_CACHE
+
+    def test_evicted_dirty_block_cleared_in_dbi(self):
+        queue, level, dispatcher = make_rig(threshold=0)
+        num_sets = level.tags.config.num_sets
+        write(queue, level, 0)
+        queue.run()
+        assert level.is_dirty(0)
+        # Clean reads fill block 0's tag set until it is the LRU victim.
+        for i in range(1, level.tags.config.associativity + 1):
+            read(queue, level, i * num_sets)
+            queue.run()
+        assert not level.tags.contains(0)
+        assert not level.is_dirty(0)
+        assert level.stats.counter("dirty_evictions").value == 1
+        # Written back off-chip, so a read of it may now be offloaded.
+        load_stacked(level, 1)
+        assert dispatch(dispatcher, 0) is DispatchDecision.OFF_CHIP
+
+
 def random_stream(seed, count=400, footprint=80):
     """A warmed level, then one read or write per cycle, some of them misses."""
     queue, level, dispatcher = make_rig(threshold=1)

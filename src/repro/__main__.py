@@ -354,8 +354,6 @@ def _cmd_campaign(args) -> int:
                 overrides["core_counts"] = core_counts
             if args.refs is not None:
                 overrides["refs"] = args.refs
-            if args.shards is not None:
-                overrides["shards"] = args.shards
             if sensitivity:
                 overrides["sensitivity"] = sensitivity
             if sens_benchmarks:
@@ -372,7 +370,6 @@ def _cmd_campaign(args) -> int:
             checkpoint=args.checkpoint,
             workers=0 if args.workers is None else args.workers,
             full_width=args.full_width,
-            shards=args.shards or 0,
             sensitivity=sensitivity,
             sensitivity_benchmarks=sens_benchmarks,
             ingested=ingested,
@@ -1075,7 +1072,7 @@ def main(argv=None) -> int:
             continue
         cp.add_argument(
             "--tier", default=None, choices=("quick", "nightly", "full"),
-            help="campaign preset (scale, workloads, shards, sensitivity); "
+            help="campaign preset (scale, workloads, sensitivity); "
                  "explicit flags override preset fields",
         )
         cp.add_argument("--scale", default=None)
@@ -1118,11 +1115,6 @@ def main(argv=None) -> int:
             "--full-width", action="store_true",
             help="the paper's complete 102/259/120 mix tables plus the "
                  "alone-IPC normalizer cells (Figure 7/8 surfaces)",
-        )
-        cp.add_argument(
-            "--shards", type=int, default=None, metavar="N",
-            help="split each long run into N stitched epoch segments "
-                 "(distributable across workers; default: whole runs)",
         )
         cp.add_argument(
             "--sensitivity", default=None, metavar="DIVISORS",

@@ -94,7 +94,6 @@ from repro.utils.locks import FileLock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.checkpoint.sampled import SampledConfig
-    from repro.checkpoint.shard import ShardSpec
 
 #: Default location of the on-disk result cache (relative to the cwd).
 DEFAULT_CACHE_DIR = os.path.join("results", "sweep_cache")
@@ -133,7 +132,6 @@ def job_key(
     check: str = "off",
     fork: Optional[str] = None,
     sampled: Optional[str] = None,
-    shard: Optional[str] = None,
 ) -> str:
     """Stable content hash identifying one simulation.
 
@@ -148,11 +146,10 @@ def job_key(
     result produced under ``--check`` gets its own entry — a pre-existing
     cache must never let a verification sweep silently skip simulating.
 
-    ``fork`` (the warm-image mechanism of a fork-from-warm job),
-    ``sampled`` (a :meth:`SampledConfig.key` spec) and ``shard`` (a
-    :meth:`ShardSpec.key` segment) are hashed whenever set: all three modes
-    are documented approximations of a cold full-length run, so their
-    entries must never collide with — or be served to — cold sweeps.
+    ``fork`` (the warm-image mechanism of a fork-from-warm job) and
+    ``sampled`` (a :meth:`SampledConfig.key` spec) are hashed whenever set:
+    both modes are documented approximations of a cold full-length run, so
+    their entries must never collide with — or be served to — cold sweeps.
     """
     import hashlib
 
@@ -170,8 +167,6 @@ def job_key(
         hasher.update(f"|fork:{fork}".encode())
     if sampled is not None:
         hasher.update(f"|sampled:{sampled}".encode())
-    if shard is not None:
-        hasher.update(f"|shard:{shard}".encode())
     return hasher.hexdigest()
 
 
@@ -296,7 +291,6 @@ class SweepJob:
     fork_checkpoint: Optional[str] = None
     warm_mechanism: Optional[str] = None
     sampled: Optional["SampledConfig"] = None
-    shard: Optional["ShardSpec"] = None
 
     @property
     def label(self) -> str:
@@ -306,8 +300,6 @@ class SweepJob:
             tags += "+fork"
         if self.sampled is not None:
             tags += "+sampled"
-        if self.shard is not None:
-            tags += f"+shard{self.shard.key()}"
         return f"{self.config.mechanism}[{names}]{tags}"
 
 
@@ -347,10 +339,6 @@ def _execute(job: SweepJob) -> SimulationResult:
     hung attempt leaves a ``.partial`` forensic trail of exactly the epochs
     it completed, while finished artifacts are never torn.
     """
-    if job.shard is not None:
-        from repro.checkpoint.shard import run_shard
-
-        return run_shard(job.config, list(job.traces), job.shard)
     if job.fork_checkpoint is not None or job.sampled is not None:
         return _execute_checkpoint(job)
     if job.telemetry is None or job.telemetry_path is None:
@@ -472,60 +460,6 @@ class SweepFuture:
             return self._runner._await(self)
         self._value = self._inner.result(timeout)
         return self._value
-
-
-@dataclass(frozen=True)
-class _StitchedJob:
-    """Job-shaped identity of a sharded cell (key + label only)."""
-
-    key: str
-    label: str
-
-
-class ShardedSweepFuture:
-    """Handle to one sharded run: N segment futures stitched on collect.
-
-    Quacks like :class:`SweepFuture` where callers care: ``job.key`` is a
-    deterministic composite of the segment keys (stable across resumes, so
-    campaign journals can record it), and ``result()`` blocks for every
-    segment and returns the stitched whole-run result. A failing segment
-    raises its :class:`SweepJobError` unchanged.
-    """
-
-    def __init__(self, futures: Sequence[SweepFuture]) -> None:
-        import hashlib
-
-        if not futures:
-            raise ValueError("a sharded future needs at least one segment")
-        self.futures = list(futures)
-        composite = hashlib.sha256(
-            "|".join(future.job.key for future in self.futures).encode()
-        ).hexdigest()
-        base = self.futures[0].job
-        label = base.label.split("+shard")[0]
-        self.job = _StitchedJob(
-            key=f"stitched:{composite}",
-            label=f"{label}+stitched{len(self.futures)}",
-        )
-        self._value: Optional[SimulationResult] = None
-
-    def done(self) -> bool:
-        return self._value is not None or all(
-            future.done() for future in self.futures
-        )
-
-    def result(self, timeout: Optional[float] = None) -> SimulationResult:
-        from repro.checkpoint.shard import stitch_shards
-
-        if self._value is None:
-            self._value = stitch_shards(
-                [future.result(timeout) for future in self.futures]
-            )
-        return self._value
-
-    def shard_results(self) -> List[SimulationResult]:
-        """The per-segment results (for confidence-interval estimation)."""
-        return [future.result() for future in self.futures]
 
 
 def stderr_progress(line: str) -> None:
@@ -711,7 +645,6 @@ class SweepRunner:
         config: SystemConfig,
         traces: Sequence[Trace],
         max_events: Optional[int] = None,
-        shard: Optional["ShardSpec"] = None,
     ) -> SweepFuture:
         """Schedule one simulation; duplicate submissions share one future.
 
@@ -724,8 +657,6 @@ class SweepRunner:
                 "sampled mode schedules its own detailed windows; "
                 "max_events is not supported"
             )
-        if shard is not None:
-            self._check_shardable(max_events)
         fork_checkpoint = None
         warm_mechanism = None
         if self.checkpoint_dir is not None:
@@ -739,7 +670,6 @@ class SweepRunner:
             check=self.check,
             fork=warm_mechanism,
             sampled=self.sampled.key() if self.sampled is not None else None,
-            shard=shard.key() if shard is not None else None,
         )
         with self._lock:
             existing = self._futures.get(key)
@@ -763,7 +693,6 @@ class SweepRunner:
                 fork_checkpoint=fork_checkpoint,
                 warm_mechanism=warm_mechanism,
                 sampled=self.sampled,
-                shard=shard,
             )
             self._next_id += 1
             self.jobs_submitted += 1
@@ -771,52 +700,6 @@ class SweepRunner:
             if future._failure is None:
                 self._futures[key] = future
             return future
-
-    def _check_shardable(self, max_events: Optional[int]) -> None:
-        if self.check != "off":
-            raise ValueError(
-                "sharded runs do not compose with --check: the functional "
-                "fast-forward between segments violates the writeback-"
-                "ledger invariants the check engine audits"
-            )
-        if self.telemetry is not None:
-            raise ValueError(
-                "sharded runs do not compose with telemetry riders: each "
-                "segment's epoch stream would restart mid-run"
-            )
-        if self.checkpoint_dir is not None or self.sampled is not None:
-            raise ValueError(
-                "sharded runs already warm and fast-forward per segment; "
-                "they do not compose with fork-from-warm or sampled mode"
-            )
-        if max_events is not None:
-            raise ValueError(
-                "sharded runs schedule their own segments; max_events is "
-                "not supported"
-            )
-
-    def submit_sharded(
-        self,
-        config: SystemConfig,
-        traces: Sequence[Trace],
-        shards: int,
-    ) -> "ShardedSweepFuture":
-        """Split one run into ``shards`` stitched segments (one job each).
-
-        Each segment is an independent, individually cached job
-        (:mod:`repro.checkpoint.shard`), so segments fan out across the
-        worker pool and a resumed campaign re-answers completed segments
-        from the cache. ``result()`` stitches the segments into one
-        whole-run :class:`SimulationResult`.
-        """
-        from repro.checkpoint.shard import ShardSpec
-
-        traces = tuple(traces)
-        futures = [
-            self.submit(config, traces, shard=ShardSpec(index, shards))
-            for index in range(shards)
-        ]
-        return ShardedSweepFuture(futures)
 
     def run(
         self,

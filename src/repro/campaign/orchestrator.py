@@ -136,9 +136,7 @@ class CampaignConfig:
 
     ``full_width`` switches multi-core counts to the paper's complete
     102/259/120 mix tables and adds the alone-IPC normalizer cells;
-    ``shards`` >= 2 splits each long run into that many epoch segments
-    stitched back together (see :mod:`repro.checkpoint.shard`); ``tier``
-    records which preset produced this config.
+    ``tier`` records which preset produced this config.
     """
 
     scale: str = "quick"
@@ -152,7 +150,6 @@ class CampaignConfig:
     workers: int = 0
     tier: Optional[str] = None
     full_width: bool = False
-    shards: int = 0
     sensitivity: Tuple[int, ...] = ()
     sensitivity_benchmarks: Tuple[str, ...] = ()
     ingested: Tuple[Tuple[str, str], ...] = ()
@@ -170,15 +167,6 @@ class CampaignConfig:
                 "telemetry and checkpoint campaigns are mutually exclusive "
                 "(fork-from-warm epoch streams would be full of "
                 "discontinuities); run two campaigns"
-            )
-        if self.shards < 0 or self.shards == 1:
-            raise ValueError(
-                f"shards must be 0 (whole runs) or >= 2, got {self.shards}"
-            )
-        if self.shards and (self.telemetry or self.checkpoint):
-            raise ValueError(
-                "sharded runs cannot stream telemetry or fork from warm "
-                "images (each shard re-warms independently); pick one"
             )
         if self.sensitivity and not self.sensitivity_benchmarks:
             raise ValueError(
@@ -211,8 +199,6 @@ class CampaignConfig:
             data["tier"] = self.tier
         if self.full_width:
             data["full_width"] = True
-        if self.shards:
-            data["shards"] = self.shards
         if self.sensitivity:
             data["sensitivity"] = list(self.sensitivity)
         if self.sensitivity_benchmarks:
@@ -237,7 +223,6 @@ class CampaignConfig:
             workers=data.get("workers", 0),
             tier=data.get("tier"),
             full_width=data.get("full_width", False),
-            shards=data.get("shards", 0),
             sensitivity=tuple(data.get("sensitivity", ())),
             sensitivity_benchmarks=tuple(
                 data.get("sensitivity_benchmarks", ())
@@ -531,7 +516,7 @@ class Campaign:
                 except SweepJobError as exc:
                     self.journal.append(
                         "failed", cell=cell.cell_id,
-                        kind=exc.failure.kind, error=exc.failure.error,
+                        failure_kind=exc.failure.kind, error=exc.failure.error,
                     )
                     failed_now[cell.cell_id] = exc.failure.error
                     if progress is not None:
@@ -564,24 +549,14 @@ class Campaign:
     # ------------------------------------------------------------ internals
 
     def _submit_cell(self, runner: SweepRunner, scale, cell: CampaignCell):
-        """Submit one cell's job(s); sharded for long whole-run cells.
-
-        Alone and sensitivity cells stay whole — they are short normalizer
-        or single-point runs where shard warmup overhead dominates.
-        """
-        config = cell_config(scale, cell)
+        """Submit one cell's whole-run job."""
         traces = cell_traces(
             scale, cell,
             refs=self.config.refs,
             full_width=self.config.full_width,
             ingest_dir=self.config.ingest_dir,
         )
-        if (
-            self.config.shards >= 2
-            and cell.category in ("bench", "mix", "trace")
-        ):
-            return runner.submit_sharded(config, traces, self.config.shards)
-        return runner.submit(config, traces)
+        return runner.submit(cell_config(scale, cell), traces)
 
     def _make_runner(
         self,

@@ -1,7 +1,7 @@
 """Campaign tier presets: quick / nightly / full.
 
 One name resolves to a complete :class:`CampaignConfig` — scale, workload
-roster, mechanism list, trace lengths, sharding and sensitivity points —
+roster, mechanism list, trace lengths and sensitivity points —
 so CI stages and the nightly soak invoke the same campaign shape with one
 flag (``repro campaign run --tier nightly``) instead of a dozen.
 
@@ -11,7 +11,7 @@ The tiers form a cost ladder:
   quick scale with short traces and a benchmark subset; what the
   ``campaignfull`` CI stage runs on every push.
 * **nightly** — an hour-ish. Quick scale, every benchmark and mechanism,
-  longer traces, sharded long runs; the scheduled soak.
+  longer traces; the scheduled soak.
 * **full** — the paper's Section 6 surface at the default scale. Run
   deliberately, resumable across days via the campaign journal.
 
@@ -44,7 +44,6 @@ class TierPreset:
     mechanisms: Tuple[str, ...]
     core_counts: Tuple[int, ...]
     refs: int
-    shards: int
     sensitivity: Tuple[int, ...]
     sensitivity_benchmarks: Tuple[str, ...]
 
@@ -64,7 +63,6 @@ class TierPreset:
             "refs": self.refs,
             "tier": self.name,
             "full_width": True,
-            "shards": self.shards,
             "sensitivity": self.sensitivity,
             "sensitivity_benchmarks": self.sensitivity_benchmarks,
         }
@@ -85,7 +83,6 @@ TIERS: Dict[str, TierPreset] = {
             mechanisms=("baseline", "dawb", "dbi+awb+clb"),
             core_counts=(1, 2, 4, 8),
             refs=256,
-            shards=0,
             sensitivity=(1, 2, 4),
             sensitivity_benchmarks=("lbm", "mcf"),
         ),
@@ -96,7 +93,6 @@ TIERS: Dict[str, TierPreset] = {
             mechanisms=DEFAULT_MECHANISMS,
             core_counts=(1, 2, 4, 8),
             refs=2_000,
-            shards=4,
             sensitivity=(1, 2, 4, 8),
             sensitivity_benchmarks=("lbm", "milc", "mcf"),
         ),
@@ -107,7 +103,6 @@ TIERS: Dict[str, TierPreset] = {
             mechanisms=DEFAULT_MECHANISMS,
             core_counts=(1, 2, 4, 8),
             refs=30_000,
-            shards=8,
             sensitivity=(1, 2, 4, 8),
             sensitivity_benchmarks=("lbm", "milc", "mcf"),
         ),

@@ -14,6 +14,7 @@ import signal
 
 import pytest
 
+from repro.analysis import runner as runner_module
 from repro.analysis.chaos import CampaignChaosConfig, CampaignFaultInjector
 from repro.campaign.journal import (
     CampaignJournal,
@@ -30,6 +31,7 @@ from repro.campaign.orchestrator import (
     report_path,
     results_path,
 )
+from repro.campaign.plan import CampaignCell, plan_fingerprint
 
 REFS = 300
 
@@ -170,6 +172,85 @@ class TestRecovery:
             handle.writelines(rewritten)
         with pytest.raises(CampaignError, match="fingerprint"):
             Campaign.open(directory)
+
+    def test_retired_option_journal_refused(self, tmp_path):
+        # A journal planned under a config option this version no longer
+        # reads (from_dict drops it) must not resume: its cells were keyed
+        # and simulated differently. The header below is what such a plan
+        # wrote — the extra field plus the fingerprint it produced.
+        directory = str(tmp_path / "camp")
+        Campaign.create(directory, make_config()).close()
+        journal = os.path.join(directory, "journal.jsonl")
+        scan = scan_journal(journal)
+        header = dict(scan.records[0])
+        header.pop("sum")
+        cells = [
+            CampaignCell.from_dict(record)
+            for record in scan.records[1:]
+            if record["kind"] == "cell"
+        ]
+        identity = dict(header["config"])
+        identity.pop("workers")
+        assert plan_fingerprint(identity, cells) == header["fingerprint"]
+        header["config"] = dict(header["config"], retired_option=4)
+        header["fingerprint"] = plan_fingerprint(
+            dict(identity, retired_option=4), cells
+        )
+        rewritten = [encode_record(header) + "\n"]
+        for record in scan.records[1:]:
+            body = dict(record)
+            body.pop("sum")
+            rewritten.append(encode_record(body) + "\n")
+        with open(journal, "w") as handle:
+            handle.writelines(rewritten)
+        with pytest.raises(CampaignError, match="fingerprint"):
+            Campaign.open(directory)
+
+
+class TestCellFailure:
+    """A cell that fails terminally is journaled, manifested and counted."""
+
+    FAILING = "1c/lbm/dbi"
+
+    def test_failed_cell_recorded_and_resume_is_byte_identical(
+        self, tmp_path, monkeypatch
+    ):
+        reference = str(tmp_path / "reference")
+        run_campaign(reference)
+        directory = str(tmp_path / "camp")
+        real_execute = runner_module._execute
+
+        def failing_execute(job):
+            if job.config.mechanism == "dbi":
+                raise RuntimeError("injected simulation fault")
+            return real_execute(job)
+
+        monkeypatch.setattr(runner_module, "_execute", failing_execute)
+        with Campaign.create(directory, make_config()) as campaign:
+            outcome = campaign.run(progress=None, max_attempts=1)
+        assert outcome.status == "failed"
+        assert outcome.exit_code == 1
+        assert outcome.cells_failed == 1
+        scan = scan_journal(os.path.join(directory, "journal.jsonl"))
+        failed = [r for r in scan.records if r["kind"] == "failed"]
+        assert [r["cell"] for r in failed] == [self.FAILING]
+        assert failed[0]["failure_kind"] == "fatal"
+        manifest = json.load(open(manifest_path(directory)))
+        assert manifest["status"] == "failed"
+        assert list(manifest["failed"]) == [self.FAILING]
+        status = campaign_status(directory)
+        assert status["cells_failed"] == 1
+        assert status["pending"] == [self.FAILING]
+        assert not os.path.exists(results_path(directory))
+
+        monkeypatch.setattr(runner_module, "_execute", real_execute)
+        resumed = run_campaign(directory)
+        assert resumed.status == "complete"
+        assert resumed.cells_done == 2
+        assert campaign_status(directory)["cells_failed"] == 0
+        assert filecmp.cmp(
+            results_path(reference), results_path(directory), shallow=False
+        )
 
 
 class TestSignalDrain:

@@ -64,6 +64,7 @@ from repro.campaign.plan import (
     cell_traces,
     plan_cells,
     plan_fingerprint,
+    trace_identity,
 )
 from repro.campaign.watchdog import (
     heartbeat_dir,
@@ -71,6 +72,7 @@ from repro.campaign.watchdog import (
     reap_dead_beacons,
     scan_heartbeats,
 )
+from repro.sim.trace import Trace
 from repro.utils.atomic import atomic_write_json, atomic_write_text
 from repro.utils.heartbeat import write_heartbeat
 from repro.utils.locks import FileLock, LockHeldError
@@ -316,6 +318,9 @@ class Campaign:
         self.recovered_torn: Optional[str] = None
         self.locks_reclaimed = lock.reclaimed
         self._drain_signal: Optional[int] = None
+        # The last (trace identity, traces) built: the plan is
+        # workload-major, so one entry serves every mechanism of a workload.
+        self._last_traces: Optional[Tuple[Tuple, List[Trace]]] = None
 
     # ------------------------------------------------------------ lifecycle
 
@@ -484,6 +489,7 @@ class Campaign:
         reap_dead_beacons(self.directory)
         beacon = orchestrator_beacon_path(self.directory)
         failed_now: Dict[str, str] = {}
+        finished: Dict[str, Dict] = {}  # cell_id -> results.json entry
         try:
             pending = self.pending
             wave_limit = max(4, 2 * max(1, runner.workers))
@@ -533,6 +539,9 @@ class Campaign:
                     self.done[cell.cell_id] = {
                         "key": future.job.key, "digest": digest,
                     }
+                    finished[cell.cell_id] = {
+                        "key": future.job.key, "result": result.to_dict(),
+                    }
                     if progress is not None:
                         progress(
                             f"[campaign] {cell.cell_id:<40s} done "
@@ -540,7 +549,7 @@ class Campaign:
                         )
             if self._drain_signal is not None:
                 return self._drained(runner, failed_now, beacon)
-            return self._finalize(runner, scale, failed_now, beacon)
+            return self._finalize(runner, scale, finished, failed_now, beacon)
         finally:
             self.journal.chaos = None
             runner.close()
@@ -550,13 +559,26 @@ class Campaign:
 
     def _submit_cell(self, runner: SweepRunner, scale, cell: CampaignCell):
         """Submit one cell's whole-run job."""
-        traces = cell_traces(
-            scale, cell,
-            refs=self.config.refs,
-            full_width=self.config.full_width,
-            ingest_dir=self.config.ingest_dir,
+        return runner.submit(
+            cell_config(scale, cell), self._cell_traces(scale, cell)
         )
-        return runner.submit(cell_config(scale, cell), traces)
+
+    def _cell_traces(self, scale, cell: CampaignCell) -> List[Trace]:
+        """The cell's traces, reusing the previous cell's when their trace
+        identities match."""
+        identity = trace_identity(
+            scale, cell, refs=self.config.refs,
+            full_width=self.config.full_width,
+        )
+        if self._last_traces is None or self._last_traces[0] != identity:
+            traces = cell_traces(
+                scale, cell,
+                refs=self.config.refs,
+                full_width=self.config.full_width,
+                ingest_dir=self.config.ingest_dir,
+            )
+            self._last_traces = (identity, traces)
+        return self._last_traces[1]
 
     def _make_runner(
         self,
@@ -637,33 +659,37 @@ class Campaign:
         self,
         runner: SweepRunner,
         scale,
+        finished: Dict[str, Dict],
         failed_now: Dict[str, str],
         beacon: str,
     ) -> CampaignOutcome:
-        """Assemble final artifacts from the cache and commit completion.
+        """Assemble final artifacts and commit completion.
 
-        Every cell is (re)submitted: just-computed cells answer from the
-        in-process memo, previously-done cells from the content-addressed
-        cache — nothing re-simulates unless its cache entry was lost, in
-        which case the deterministic simulator regenerates identical
-        bytes. Artifacts are written atomically *before* the ``complete``
-        record, so that record proves the artifacts are durable.
+        Cells this process completed come straight from their futures
+        (``finished``). Cells an earlier process completed are resubmitted:
+        their traces are rebuilt and their keys re-derived from the current
+        generators (a drifted mix or ingested trace is refused), and the
+        content-addressed cache answers them — nothing re-simulates unless
+        its cache entry was lost, in which case the deterministic simulator
+        regenerates identical bytes. Artifacts are written atomically
+        *before* the ``complete`` record, so that record proves the
+        artifacts are durable.
         """
         write_heartbeat(beacon, state="finalizing")
         cell_payload: Dict[str, Dict] = {}
         for cell in self.cells:
             if cell.cell_id in failed_now:
                 continue
-            future = self._submit_cell(runner, scale, cell)
-            try:
-                result = future.result()
-            except SweepJobError as exc:
-                failed_now[cell.cell_id] = exc.failure.error
-                continue
-            cell_payload[cell.cell_id] = {
-                "key": future.job.key,
-                "result": result.to_dict(),
-            }
+            entry = finished.get(cell.cell_id)
+            if entry is None:
+                future = self._submit_cell(runner, scale, cell)
+                try:
+                    result = future.result()
+                except SweepJobError as exc:
+                    failed_now[cell.cell_id] = exc.failure.error
+                    continue
+                entry = {"key": future.job.key, "result": result.to_dict()}
+            cell_payload[cell.cell_id] = entry
         pending_ids = [
             c.cell_id for c in self.cells if c.cell_id not in cell_payload
         ]

@@ -232,6 +232,34 @@ def plan_cells(
     return cells
 
 
+def trace_identity(
+    scale: ScaleProfile,
+    cell: CampaignCell,
+    refs: Optional[int] = None,
+    full_width: bool = False,
+) -> Tuple:
+    """Everything that determines the cell's traces at this scale.
+
+    Two cells with equal identities replay identical traces, so a caller
+    may build them once (:meth:`Campaign._cell_traces` reuses the previous
+    cell's). Benchmark, alone and sensitivity cells of one benchmark share
+    an identity whenever their effective trace lengths agree.
+    """
+    category = cell.category
+    if category == "trace":
+        return ("trace", cell.trace_name, cell.trace_sha)
+    if category == "mix":
+        return ("mix", cell.num_cores, full_width, cell.mix_index,
+                cell.mix_name, refs)
+    if category == "alone":
+        length = refs or scale.refs_per_core_multi
+    elif category == "sens" and refs is not None:
+        length = max(refs, SENSITIVITY_REFS_FLOOR)
+    else:
+        length = refs or scale.refs_single_core
+    return ("benchmark", cell.benchmark, length)
+
+
 def cell_traces(
     scale: ScaleProfile,
     cell: CampaignCell,
@@ -245,7 +273,8 @@ def cell_traces(
     mix and alone cells; sensitivity cells are floored at
     ``SENSITIVITY_REFS_FLOOR`` (see its rationale). Ingested traces load
     from ``ingest_dir``'s registry and are verified against the sha
-    pinned at plan time.
+    pinned at plan time. :func:`trace_identity` names what the result
+    depends on.
 
     Raises:
         ValueError: the recorded mix name no longer matches what the
@@ -266,16 +295,11 @@ def cell_traces(
 
         return [registered_trace(ingest_dir, cell.trace_name,
                                  expect_sha=cell.trace_sha)]
-    if category in ("bench", "sens"):
+    if category in ("bench", "sens", "alone"):
         if cell.benchmark is None:
             raise ValueError(f"cell {cell.cell_id!r} has no benchmark")
-        if category == "sens" and refs is not None:
-            refs = max(refs, SENSITIVITY_REFS_FLOOR)
-        return [scale.benchmark_trace(cell.benchmark, refs=refs)]
-    if category == "alone":
-        if cell.benchmark is None:
-            raise ValueError(f"cell {cell.cell_id!r} has no benchmark")
-        return [scale.alone_trace(cell.benchmark, refs=refs)]
+        _, benchmark, length = trace_identity(scale, cell, refs, full_width)
+        return [scale.benchmark_trace(benchmark, refs=length)]
     if cell.mix_index is None:
         raise ValueError(f"cell {cell.cell_id!r} has no mix index")
     count = paper_mix_count(cell.num_cores) if full_width else None

@@ -13,13 +13,21 @@ Footprints are stated in 64 B blocks; the paper's LLC is 32768 blocks
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.sim.trace import Trace
-from repro.utils.rng import DeterministicRng
+from repro.sim.trace import Trace, TraceRecord
+from repro.utils.rng import U64_SPAN, DeterministicRng
 from repro.utils.validation import check_positive, check_range
 from repro.workloads.synthetic import make_pattern
+
+
+#: References drawn per batch by :func:`generate_trace`. Each stream is drawn
+#: a chunk at a time, so the scratch lists stay this short however long the
+#: trace is. Measured on the quick bzip2/astar cells, 8192 raised peak RSS
+#: by 0.32 MiB (1.0%) over the per-reference generator and 2048 by 0.14.
+TRACE_CHUNK_REFS = 2048
 
 
 @dataclass(frozen=True)
@@ -185,18 +193,45 @@ def generate_trace(
         )
     gaps = rng.derive("gaps")
     writes = rng.derive("writes")
-    records = []
-    for _ in range(num_refs):
-        is_write = writes.chance(profile.write_fraction)
-        source = write_pattern if is_write else pattern
-        records.append(
-            (
-                gaps.geometric(profile.mean_gap),
+    records: List[TraceRecord] = []
+    for start in range(0, num_refs, TRACE_CHUNK_REFS):
+        count = min(TRACE_CHUNK_REFS, num_refs - start)
+        is_write = [
+            draw / U64_SPAN < profile.write_fraction
+            for draw in writes.next_u64s(count)
+        ]
+        if write_pattern is pattern:
+            addresses = pattern.take(count)
+        else:
+            stores = sum(is_write)
+            written = iter(write_pattern.take(stores))
+            read = iter(pattern.take(count - stores))
+            addresses = [next(written) if w else next(read) for w in is_write]
+        # One record at a time, so each record's address and tuple are
+        # allocated side by side, as the per-reference generator laid
+        # them out for the simulator's replay.
+        records.extend(
+            (gap, write, base_addr + addr)
+            for gap, write, addr in zip(
+                _geometric_gaps(gaps, profile.mean_gap, count),
                 is_write,
-                base_addr + source.next_address(),
+                addresses,
             )
         )
     return Trace(name=profile.name, records=records)
+
+
+def _geometric_gaps(rng: DeterministicRng, mean: float, count: int) -> List[int]:
+    """``count`` draws of :meth:`DeterministicRng.geometric`, batched.
+
+    ``geometric`` guards a zero uniform draw, which xorshift64* never
+    yields (a nonzero state times an odd multiplier is nonzero mod 2**64).
+    """
+    if mean == 0:
+        return [0] * count
+    log_q = math.log(1.0 - 1.0 / (mean + 1.0))
+    log = math.log
+    return [int(log(draw / U64_SPAN) / log_q) for draw in rng.next_u64s(count)]
 
 
 def spec_trace(

@@ -18,19 +18,25 @@ the paper's mechanisms:
 
 from __future__ import annotations
 
-from repro.utils.rng import DeterministicRng
+from typing import List
+
+from repro.utils.rng import U64_SPAN, DeterministicRng
 from repro.utils.validation import check_positive, check_range
 
 
 class AddressPattern:
-    """Base class: next_address() yields the next block address."""
+    """Base class: take(n) yields the next n block addresses.
+
+    Draws are batched: ``take(a) + take(b)`` equals ``take(a + b)``, so a
+    caller may split a stream into chunks of any size.
+    """
 
     def __init__(self, rng: DeterministicRng, footprint: int) -> None:
         check_positive("footprint", footprint)
         self.rng = rng
         self.footprint = footprint
 
-    def next_address(self) -> int:
+    def take(self, count: int) -> List[int]:
         raise NotImplementedError
 
 
@@ -43,10 +49,13 @@ class StreamPattern(AddressPattern):
         self.stride = stride
         self._cursor = 0
 
-    def next_address(self) -> int:
-        addr = self._cursor
-        self._cursor = (self._cursor + self.stride) % self.footprint
-        return addr
+    def take(self, count: int) -> List[int]:
+        start, stride, footprint = self._cursor, self.stride, self.footprint
+        self._cursor = (start + count * stride) % footprint
+        return [
+            addr % footprint
+            for addr in range(start, start + count * stride, stride)
+        ]
 
 
 class CyclicPattern(StreamPattern):
@@ -59,8 +68,9 @@ class CyclicPattern(StreamPattern):
 class RandomPattern(AddressPattern):
     """Uniform random references over the footprint."""
 
-    def next_address(self) -> int:
-        return self.rng.randint(0, self.footprint - 1)
+    def take(self, count: int) -> List[int]:
+        footprint = self.footprint
+        return [draw % footprint for draw in self.rng.next_u64s(count)]
 
 
 class HotColdPattern(AddressPattern):
@@ -79,10 +89,14 @@ class HotColdPattern(AddressPattern):
         self.hot_blocks = max(1, int(footprint * hot_fraction))
         self.hot_probability = hot_probability
 
-    def next_address(self) -> int:
-        if self.rng.chance(self.hot_probability):
-            return self.rng.randint(0, self.hot_blocks - 1)
-        return self.rng.randint(0, self.footprint - 1)
+    def take(self, count: int) -> List[int]:
+        # Each reference draws a coin, then an address in the chosen set.
+        draws = self.rng.next_u64s(2 * count)
+        hot, footprint, p = self.hot_blocks, self.footprint, self.hot_probability
+        return [
+            addr % hot if coin / U64_SPAN < p else addr % footprint
+            for coin, addr in zip(draws[0::2], draws[1::2])
+        ]
 
 
 class RegionBurstPattern(AddressPattern):
@@ -120,20 +134,36 @@ class RegionBurstPattern(AddressPattern):
             self.rng.shuffle(self._order)
             self._cursor = 0
 
-    def _next_region(self) -> int:
-        if self.revisit == "cycle":
-            region = self._order[self._cursor]
-            self._cursor = (self._cursor + 1) % self._num_regions
-            return region
-        return self.rng.randint(0, self._num_regions - 1)
-
-    def next_address(self) -> int:
-        if self._remaining == 0:
-            self._region_base = self._next_region() * self.region_blocks
-            self._remaining = self.burst_length
-        self._remaining -= 1
-        offset = self.rng.randint(0, self.region_blocks - 1)
-        return min(self._region_base + offset, self.footprint - 1)
+    def take(self, count: int) -> List[int]:
+        region_blocks, burst = self.region_blocks, self.burst_length
+        remaining = self._remaining
+        # A random revisit draws the next region, from the same stream,
+        # just before the first offset of each burst.
+        starts = 0
+        if self.revisit == "random" and count > remaining:
+            starts = -(-(count - remaining) // burst)
+        draws = self.rng.next_u64s(count + starts)
+        out: List[int] = []
+        pos = 0
+        while len(out) < count:
+            if remaining == 0:
+                if self.revisit == "cycle":
+                    region = self._order[self._cursor]
+                    self._cursor = (self._cursor + 1) % self._num_regions
+                else:
+                    region = draws[pos] % self._num_regions
+                    pos += 1
+                self._region_base = region * region_blocks
+                remaining = burst
+            # Whole regions tile the footprint's prefix (region_blocks is
+            # capped at the footprint), so every offset stays inside it.
+            base = self._region_base
+            n = min(remaining, count - len(out))
+            out += [base + draw % region_blocks for draw in draws[pos:pos + n]]
+            pos += n
+            remaining -= n
+        self._remaining = remaining
+        return out
 
 
 def make_pattern(

@@ -16,6 +16,8 @@ import pytest
 
 from repro.analysis import runner as runner_module
 from repro.analysis.chaos import CampaignChaosConfig, CampaignFaultInjector
+from repro.analysis.scaling import QUICK_SCALE
+from repro.campaign import orchestrator as orchestrator_module
 from repro.campaign.journal import (
     CampaignJournal,
     encode_record,
@@ -31,7 +33,13 @@ from repro.campaign.orchestrator import (
     report_path,
     results_path,
 )
-from repro.campaign.plan import CampaignCell, plan_fingerprint
+from repro.campaign.plan import (
+    CampaignCell,
+    cell_config,
+    cell_traces,
+    plan_fingerprint,
+)
+from repro.workloads.spec import profile_names
 
 REFS = 300
 
@@ -307,6 +315,96 @@ class TestSignalDrain:
         resumed = run_campaign(directory)
         assert resumed.status == "complete"
         assert resumed.cells_done == 2
+
+
+class _Killed(Exception):
+    """Stands in for the orchestrator dying between two journal records."""
+
+
+class TestTraceReuse:
+    """Each distinct trace is built once per run, and finalize reads the
+    cells this process completed from their futures."""
+
+    def _spy(self, monkeypatch):
+        built, submitted = [], []
+        real_traces = orchestrator_module.cell_traces
+        real_submit = Campaign._submit_cell
+
+        def counting_traces(scale, cell, **kwargs):
+            built.append(cell.cell_id)
+            return real_traces(scale, cell, **kwargs)
+
+        def recording_submit(campaign, runner, scale, cell):
+            submitted.append(cell.cell_id)
+            return real_submit(campaign, runner, scale, cell)
+
+        monkeypatch.setattr(orchestrator_module, "cell_traces",
+                            counting_traces)
+        monkeypatch.setattr(Campaign, "_submit_cell", recording_submit)
+        return built, submitted
+
+    def test_fresh_campaign_builds_each_benchmark_trace_once(
+        self, tmp_path, monkeypatch
+    ):
+        built, submitted = self._spy(monkeypatch)
+        config = make_config(
+            benchmarks=tuple(profile_names()),
+            mechanisms=("baseline", "dawb", "dbi+awb"),
+            refs=200,
+        )
+        outcome = run_campaign(str(tmp_path / "camp"), config)
+        assert outcome.status == "complete"
+        assert outcome.cells_done == 42
+        assert len(built) == 14
+        assert [cell_id.split("/")[1] for cell_id in built] == list(
+            profile_names()
+        )
+        # Finalize took every cell from its future: no second submission.
+        assert len(submitted) == 42
+
+    def test_resume_after_kill_rekeys_cells_done_before_it(
+        self, tmp_path, monkeypatch
+    ):
+        config = make_config(benchmarks=("lbm", "mcf"))
+        reference = str(tmp_path / "reference")
+        run_campaign(reference, config)
+
+        directory = str(tmp_path / "killed")
+        done_lines = []
+
+        def die_after_two(line):
+            if " done " in line:
+                done_lines.append(line)
+                if len(done_lines) == 2:
+                    raise _Killed()
+
+        with Campaign.create(directory, config) as campaign:
+            with pytest.raises(_Killed):
+                campaign.run(progress=die_after_two)
+        status = campaign_status(directory)
+        earlier = ["1c/lbm/baseline", "1c/lbm/dbi"]
+        assert status["pending"] == ["1c/mcf/baseline", "1c/mcf/dbi"]
+
+        built, submitted = self._spy(monkeypatch)
+        outcome = run_campaign(directory)
+        assert outcome.status == "complete"
+        # Dispatch runs the pending cells; finalize resubmits the earlier
+        # ones, rebuilding their (shared) trace once.
+        assert submitted == status["pending"] + earlier
+        assert built == ["1c/mcf/baseline", "1c/lbm/baseline"]
+        payload = json.load(open(results_path(directory)))
+        for cell in config.plan():
+            expected = runner_module.job_key(
+                cell_config(QUICK_SCALE, cell),
+                cell_traces(QUICK_SCALE, cell, refs=config.refs),
+            )
+            assert payload["cells"][cell.cell_id]["key"] == expected
+        assert filecmp.cmp(
+            results_path(reference), results_path(directory), shallow=False
+        )
+        assert filecmp.cmp(
+            report_path(reference), report_path(directory), shallow=False
+        )
 
 
 class TestStatus:

@@ -42,9 +42,8 @@ class TestCyclicRegionRevisit:
         rng = DeterministicRng(1)
         pattern = RegionBurstPattern(rng, footprint=64, region_blocks=8,
                                      burst_length=4, revisit="cycle")
-        regions = []
-        for _ in range(8 * 4):  # 8 regions x 4-access bursts = one full cycle
-            regions.append(pattern.next_address() // 8)
+        # 8 regions x 4-access bursts = one full cycle
+        regions = [addr // 8 for addr in pattern.take(8 * 4)]
         distinct_in_cycle = set(regions)
         assert distinct_in_cycle == set(range(8))
 
@@ -52,7 +51,7 @@ class TestCyclicRegionRevisit:
         rng = DeterministicRng(1)
         pattern = RegionBurstPattern(rng, footprint=256, region_blocks=8,
                                      burst_length=1, revisit="cycle")
-        order = [pattern.next_address() // 8 for _ in range(32)]
+        order = [addr // 8 for addr in pattern.take(32)]
         assert order != sorted(order)
 
     def test_invalid_revisit_rejected(self):

@@ -61,6 +61,10 @@
 #                  then tools/soak_gate.py --tier SIGKILLs a shrunken
 #                  tier campaign mid-dispatch and requires byte-identical
 #                  surfaces after resume.
+#   perfbench    — the repository benchmark's own tests (perfbench/tests):
+#                  the layer tracer agrees with cProfile and leaves results
+#                  unchanged, campaign tracing times each cell once, and the
+#                  cell runner's budget and digest accounting hold.
 #   perf         — tools/perf_gate.py measures quick-scale fig6 cells on HEAD
 #                  and on a pinned pre-overhaul reference commit (same
 #                  machine), and fails if the speedup ratio regresses >20%
@@ -73,7 +77,7 @@ export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 COV_FAIL_UNDER=${COV_FAIL_UNDER:-$(cat tools/coverage_floor.txt)}
 ALL_STAGES=(tier1 coverage slowfuzz differential checked dramcache
             conformance sweep chaos reliability telemetry checkpoint
-            campaign campaignfull perf)
+            campaign campaignfull perfbench perf)
 
 if [ "${1:-}" = "--list" ]; then
     printf '%s\n' "${ALL_STAGES[@]}"
@@ -256,6 +260,10 @@ stage_campaignfull() {
     python tools/soak_gate.py --tier
     echo "ci: ok (quick-tier campaign emitted every surface; tier kill" \
          "points recovered byte-identically)"
+}
+
+stage_perfbench() {
+    python -m pytest -q perfbench/tests
 }
 
 stage_perf() {
